@@ -1,9 +1,11 @@
 //! Benchmarks of the timing simulator itself: cycles/second and
-//! instructions/second across workload characters.
+//! instructions/second across workload characters, plus the gating and
+//! SMT fetch-order paths of the machine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use paco::PacoConfig;
-use paco_sim::{EstimatorKind, MachineBuilder, SimConfig};
+use paco_sim::{EstimatorKind, FetchPolicy, GatingPolicy, MachineBuilder, SimConfig};
+use paco_types::Probability;
 use paco_workloads::BenchmarkId;
 
 fn machine(bench: BenchmarkId, estimator: EstimatorKind) -> paco_sim::Machine {
@@ -49,6 +51,45 @@ fn bench_estimator_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_machine_paths(c: &mut Criterion) {
+    // The scheduler, gating and SMT fetch-order paths: a PaCo-gated
+    // 4-wide machine, and an ICOUNT SMT pair (20k instructions per
+    // thread).
+    let mut group = c.benchmark_group("machine_paths_20k");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(20_000));
+    let paco = EstimatorKind::Paco(PacoConfig::paper());
+    let gate = GatingPolicy::paco_gate(Probability::new(0.20).expect("0.20 is a probability"));
+    group.bench_function("paco_gated_4wide", |b| {
+        b.iter_batched(
+            || {
+                MachineBuilder::new(SimConfig::paper_4wide())
+                    .thread(Box::new(BenchmarkId::Gzip.build(1)), paco)
+                    .gating(gate)
+                    .seed(1)
+                    .build()
+            },
+            |mut m| m.run(20_000),
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("icount_smt_pair", |b| {
+        b.iter_batched(
+            || {
+                MachineBuilder::new(SimConfig::paper_smt_8wide())
+                    .thread(Box::new(BenchmarkId::Gzip.build(1)), paco)
+                    .thread(Box::new(BenchmarkId::Twolf.build(2)), paco)
+                    .fetch_policy(FetchPolicy::ICount)
+                    .seed(1)
+                    .build()
+            },
+            |mut m| m.run(20_000),
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 fn bench_workload_generation(c: &mut Criterion) {
     use paco_workloads::Workload;
     let mut group = c.benchmark_group("workload_stream");
@@ -70,6 +111,7 @@ criterion_group!(
     benches,
     bench_simulation_throughput,
     bench_estimator_overhead,
+    bench_machine_paths,
     bench_workload_generation
 );
 criterion_main!(benches);

@@ -168,7 +168,16 @@ pub struct CacheHierarchy {
     pub l2: Cache,
 }
 
+/// Load-to-use latency of an L1D hit, in cycles.
+const L1D_HIT: u64 = 2;
+
 impl CacheHierarchy {
+    /// The longest latency [`data_latency`](Self::data_latency) can
+    /// return: a miss in both the L1D and the L2.
+    pub(crate) fn max_data_latency(&self) -> u64 {
+        L1D_HIT + self.l1d.config().miss_penalty + self.l2.config().miss_penalty
+    }
+
     /// Builds the paper's hierarchy.
     pub fn paper() -> Self {
         CacheHierarchy {
@@ -193,13 +202,12 @@ impl CacheHierarchy {
     /// Data access at `addr`: returns total load-to-use latency in cycles
     /// (baseline hit latency of 2).
     pub fn data_latency(&mut self, addr: u64) -> u64 {
-        const L1D_HIT: u64 = 2;
         if self.l1d.access(addr) {
             L1D_HIT
         } else if self.l2.access(addr) {
             L1D_HIT + self.l1d.config().miss_penalty
         } else {
-            L1D_HIT + self.l1d.config().miss_penalty + self.l2.config().miss_penalty
+            self.max_data_latency()
         }
     }
 }

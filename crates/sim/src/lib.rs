@@ -54,5 +54,5 @@ pub use config::SimConfig;
 pub use estimator_kind::{EstimatorKind, NullEstimator};
 pub use machine::{Machine, MachineBuilder, TraceSink};
 pub use online::{HotPass, NoProbe, OnlineConfig, OnlineOutcome, OnlinePipeline, PassProbe};
-pub use policy::{FetchPolicy, GatingPolicy};
+pub use policy::{FetchOrder, FetchPolicy, GatingPolicy, MAX_THREADS};
 pub use stats::{MachineStats, ThreadStats, PROB_BINS, SCORE_BINS};

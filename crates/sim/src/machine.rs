@@ -8,8 +8,15 @@
 //! fetch follows the bogus target into a synthetic wrong-path stream whose
 //! instructions occupy real resources (and whose branches allocate real
 //! confidence state) until the mispredicted branch resolves.
+//!
+//! Issue is event-driven: a scheduler entry counts its producers that
+//! have not finished executing, completions wake their waiting consumers,
+//! and the issue stage pops ready entries in dispatch order — no stage
+//! scans the scheduler or the ROB per cycle (see `docs/ARCHITECTURE.md`,
+//! "The cycle-level machine", for the invariants this relies on).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use paco::{BranchFetchInfo, BranchToken, PathConfidenceEstimator};
 use paco_branch::{
@@ -21,13 +28,38 @@ use paco_workloads::{Workload, WrongPathGen};
 
 use crate::{
     CacheHierarchy, EstimatorKind, FetchPolicy, GatingPolicy, MachineStats, SimConfig, ThreadStats,
+    MAX_THREADS,
 };
 
-/// Size of the completion event wheel; must exceed the largest possible
-/// instruction latency.
+/// Size of the completion event wheel. An instruction of latency `l`
+/// issued at cycle `c` completes from bucket `(c + l) % WHEEL`; issue runs
+/// after the current bucket has drained, so every latency up to and
+/// including `WHEEL` lands in a bucket that is still ahead.
+/// [`MachineBuilder::build`] rejects configurations whose latencies could
+/// exceed it.
 const WHEEL: usize = 256;
 
-#[derive(Debug, Clone)]
+/// A completion event: thread, sequence number, and the dispatch number
+/// that tells a reused sequence number from the squashed one.
+type Event = (usize, u64, u64);
+
+/// [`SchedEntry::order`] of an empty scheduler entry.
+const FREE: u64 = u64::MAX;
+
+/// One shared scheduler entry: a dispatched instruction waiting to issue.
+#[derive(Debug, Clone, Copy)]
+struct SchedEntry {
+    /// Dispatch number of the occupant, or [`FREE`]. Dispatch numbers are
+    /// never reused, so a waiter or ready-set reference whose number no
+    /// longer matches names an entry that `recover` squashed.
+    order: u64,
+    tid: usize,
+    seq: u64,
+    /// Producers that have not finished executing.
+    pending: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
 struct CtrlState {
     kind: ControlKind,
     mispredicted: bool,
@@ -43,16 +75,15 @@ struct CtrlState {
 
 #[derive(Debug, Clone)]
 struct Slot {
-    /// Globally unique slot id, guarding event/scheduler references against
-    /// sequence-number reuse after squashes.
-    uid: u64,
+    /// Dispatch number (set at dispatch; unique for the machine's
+    /// lifetime), guarding completion events against sequence-number
+    /// reuse after squashes.
+    order: u64,
     seq: u64,
     class: InstrClass,
     deps: [u32; 2],
     mem_addr: Option<u64>,
     on_goodpath: bool,
-    issued: bool,
-    done: bool,
     token: Option<BranchToken>,
     ctrl: Option<CtrlState>,
 }
@@ -99,6 +130,13 @@ struct Thread {
     front: VecDeque<(Cycle, Slot)>,
     rob: VecDeque<Slot>,
     rob_front_seq: u64,
+    /// Done flags of the in-ROB instructions, indexed by `seq & ring_mask`
+    /// (the ring is at least as long as the ROB, so live instructions
+    /// never share a slot). Reset at dispatch, set at completion.
+    done: Vec<bool>,
+    /// Scheduler entries `(index, dispatch number)` waiting on the
+    /// in-ROB instruction in each ring slot; drained when it completes.
+    waiters: Vec<Vec<(usize, u64)>>,
     next_seq: u64,
     fetch_stall_until: Cycle,
     in_flight: usize,
@@ -128,32 +166,11 @@ impl Thread {
         instr
     }
 
-    fn slot_by_seq(&self, seq: u64) -> Option<&Slot> {
-        if seq < self.rob_front_seq {
-            return None;
-        }
-        self.rob.get((seq - self.rob_front_seq) as usize)
-    }
-
     fn slot_by_seq_mut(&mut self, seq: u64) -> Option<&mut Slot> {
         if seq < self.rob_front_seq {
             return None;
         }
         self.rob.get_mut((seq - self.rob_front_seq) as usize)
-    }
-
-    /// Whether the dependency at distance `d` from `seq` is satisfied.
-    fn dep_ready(&self, seq: u64, d: u32) -> bool {
-        if d == 0 {
-            return true;
-        }
-        match seq.checked_sub(d as u64) {
-            None => true,
-            Some(dep_seq) => match self.slot_by_seq(dep_seq) {
-                None => true, // retired or squashed
-                Some(s) => s.done,
-            },
-        }
     }
 
     /// The PC the fetch unit would fetch next (drives the I-cache probe).
@@ -203,10 +220,20 @@ pub struct Machine {
     caches: CacheHierarchy,
     threads: Vec<Thread>,
     rob_free: usize,
-    sched_free: usize,
-    sched: VecDeque<(usize, u64, u64)>,
-    wheel: Vec<Vec<(usize, u64, u64)>>,
-    next_uid: u64,
+    /// `seq & ring_mask` indexes each thread's done/waiter rings.
+    ring_mask: u64,
+    /// The shared scheduler's entries; `sched_free` lists the empty ones.
+    sched: Vec<SchedEntry>,
+    sched_free: Vec<usize>,
+    /// Entries whose producers are all done, as `(dispatch number,
+    /// index)`: popping the minimum issues oldest-dispatched first.
+    /// Entries squashed after becoming ready are dropped when popped.
+    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    next_order: u64,
+    wheel: Vec<Vec<Event>>,
+    /// The bucket being completed, swapped out of the wheel so its
+    /// capacity is reused rather than reallocated.
+    completing: Vec<Event>,
     gating: GatingPolicy,
     fetch_policy: FetchPolicy,
 }
@@ -302,8 +329,10 @@ impl MachineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no threads were added or more threads than
-    /// `config.threads` were added.
+    /// Panics if no threads were added, more threads than
+    /// `config.threads` (or [`MAX_THREADS`]) were added, or an
+    /// instruction latency could exceed the completion wheel's 256 cycles
+    /// (`config.muldiv_latency` above 256).
     pub fn build(self) -> Machine {
         assert!(
             !self.threads.is_empty(),
@@ -313,6 +342,19 @@ impl MachineBuilder {
             self.threads.len() <= self.config.threads,
             "more workloads than configured hardware threads"
         );
+        assert!(
+            self.threads.len() <= MAX_THREADS,
+            "more than {MAX_THREADS} hardware threads"
+        );
+        let caches = CacheHierarchy::paper();
+        let max_latency = self.config.muldiv_latency.max(caches.max_data_latency());
+        assert!(
+            max_latency <= WHEEL as u64,
+            "instruction latency {max_latency} exceeds the {WHEEL}-cycle completion wheel \
+             (muldiv_latency is {})",
+            self.config.muldiv_latency
+        );
+        let ring = self.config.rob_entries.next_power_of_two();
         let mut seeder = SplitMix64::new(self.seed);
         let threads = self
             .threads
@@ -327,6 +369,8 @@ impl MachineBuilder {
                 front: VecDeque::new(),
                 rob: VecDeque::new(),
                 rob_front_seq: 0,
+                done: vec![false; ring],
+                waiters: vec![Vec::new(); ring],
                 next_seq: 0,
                 fetch_stall_until: 0,
                 in_flight: 0,
@@ -340,17 +384,28 @@ impl MachineBuilder {
             btb: Btb::new(self.config.btb),
             indirect: IndirectPredictor::new(1024),
             mdc: MdcTable::new(self.config.confidence),
-            caches: CacheHierarchy::paper(),
+            caches,
             threads,
             rob_free: self.config.rob_entries,
-            sched_free: self.config.scheduler_entries,
-            sched: VecDeque::new(),
+            ring_mask: ring as u64 - 1,
+            sched: vec![
+                SchedEntry {
+                    order: FREE,
+                    tid: 0,
+                    seq: 0,
+                    pending: 0,
+                };
+                self.config.scheduler_entries
+            ],
+            sched_free: (0..self.config.scheduler_entries).rev().collect(),
+            ready: BinaryHeap::with_capacity(self.config.scheduler_entries),
+            next_order: 0,
             wheel: vec![Vec::new(); WHEEL],
+            completing: Vec::new(),
             gating: self.gating,
             fetch_policy: self.fetch_policy,
             cycle: 0,
             stats_since: 0,
-            next_uid: 0,
             config: self.config,
         }
     }
@@ -433,18 +488,19 @@ impl Machine {
     // ---------------------------------------------------------------- //
     fn complete_stage(&mut self) {
         let bucket = (self.cycle % WHEEL as u64) as usize;
-        let events = std::mem::take(&mut self.wheel[bucket]);
-        for (tid, seq, uid) in events {
+        std::mem::swap(&mut self.wheel[bucket], &mut self.completing);
+        for i in 0..self.completing.len() {
+            let (tid, seq, order) = self.completing[i];
             let Some(slot) = self.threads[tid].slot_by_seq_mut(seq) else {
                 continue; // squashed while in flight
             };
-            if slot.uid != uid {
+            if slot.order != order {
                 continue; // stale event: the seq was reused after a squash
             }
-            slot.done = true;
             let token = slot.token.take();
             let on_goodpath = slot.on_goodpath;
-            let ctrl = slot.ctrl.clone();
+            let ctrl = slot.ctrl;
+            self.wake(tid, seq);
 
             if let Some(ctrl) = ctrl {
                 if on_goodpath {
@@ -470,6 +526,28 @@ impl Machine {
                 }
             }
         }
+        self.completing.clear();
+    }
+
+    /// Marks `seq` of thread `tid` done and moves the scheduler entries
+    /// waiting on nothing else into the ready set.
+    fn wake(&mut self, tid: usize, seq: u64) {
+        let ring_slot = (seq & self.ring_mask) as usize;
+        let t = &mut self.threads[tid];
+        t.done[ring_slot] = true;
+        let mut waiters = std::mem::take(&mut t.waiters[ring_slot]);
+        for &(idx, order) in &waiters {
+            let entry = &mut self.sched[idx];
+            if entry.order != order {
+                continue; // squashed by `recover`
+            }
+            entry.pending -= 1;
+            if entry.pending == 0 {
+                self.ready.push(Reverse((order, idx)));
+            }
+        }
+        waiters.clear();
+        self.threads[tid].waiters[ring_slot] = waiters;
     }
 
     /// Squashes everything younger than `seq` in thread `tid` and
@@ -478,7 +556,6 @@ impl Machine {
         let redirect_at = self.cycle + self.config.redirect_penalty;
         let t = &mut self.threads[tid];
         let mut rob_reclaimed = 0;
-        let mut sched_reclaimed = 0;
 
         // Squash ROB suffix.
         while t.rob.back().map(|s| s.seq > seq).unwrap_or(false) {
@@ -487,9 +564,6 @@ impl Machine {
                 t.estimator.on_squash(token);
             }
             rob_reclaimed += 1;
-            if !s.issued {
-                sched_reclaimed += 1;
-            }
             t.in_flight = t.in_flight.saturating_sub(1);
         }
         // Squash the entire front-end pipe (all younger than the branch).
@@ -506,16 +580,22 @@ impl Machine {
         t.path = PathState::Good;
         t.fetch_stall_until = t.fetch_stall_until.max(redirect_at);
         // Rewind the sequence counter: squashed seqs are dead, and reusing
-        // them keeps each thread's ROB contiguous in seq (which both the
-        // slot lookup and the workload's dependency distances rely on).
+        // them keeps each thread's ROB contiguous in seq (which the slot
+        // lookup, the done/waiter rings and the workload's dependency
+        // distances all rely on).
         t.next_seq = seq + 1;
         // `pending` (the peeked-but-unfetched goodpath successor) survives
         // recovery: it is exactly where fetch must resume.
         self.rob_free += rob_reclaimed;
-        self.sched_free += sched_reclaimed;
-        // Purge squashed scheduler entries eagerly: their seqs may be
-        // reused by post-recovery instructions.
-        self.sched.retain(|&(st, ss, _)| st != tid || ss <= seq);
+        // Free the squashed (never issued) scheduler entries. Their
+        // waiter-list and ready-set references go stale with the dispatch
+        // number and are dropped when next visited.
+        for (idx, entry) in self.sched.iter_mut().enumerate() {
+            if entry.order != FREE && entry.tid == tid && entry.seq > seq {
+                entry.order = FREE;
+                self.sched_free.push(idx);
+            }
+        }
     }
 
     // ---------------------------------------------------------------- //
@@ -531,15 +611,14 @@ impl Machine {
                 if budget == 0 {
                     break;
                 }
-                let head_done = self.threads[tid]
+                let t = &mut self.threads[tid];
+                let head_done = t
                     .rob
                     .front()
-                    .map(|s| s.done)
-                    .unwrap_or(false);
+                    .is_some_and(|s| t.done[(s.seq & self.ring_mask) as usize]);
                 if !head_done {
                     continue;
                 }
-                let t = &mut self.threads[tid];
                 let slot = t.rob.pop_front().unwrap();
                 t.rob_front_seq = slot.seq + 1;
                 t.in_flight = t.in_flight.saturating_sub(1);
@@ -586,31 +665,26 @@ impl Machine {
     }
 
     // ---------------------------------------------------------------- //
-    //  Issue: oldest-first from the shared scheduler.                   //
+    //  Issue: oldest-dispatched first among the ready entries.          //
     // ---------------------------------------------------------------- //
     fn issue_stage(&mut self) {
         let mut issued = 0;
-        let mut i = 0;
-        while i < self.sched.len() && issued < self.config.fu_count {
-            let (tid, seq, uid) = self.sched[i];
-            let Some(slot) = self.threads[tid].slot_by_seq(seq) else {
-                self.sched.remove(i);
-                continue;
+        while issued < self.config.fu_count {
+            let Some(Reverse((order, idx))) = self.ready.pop() else {
+                break;
             };
-            if slot.uid != uid {
-                self.sched.remove(i);
-                continue;
+            let entry = self.sched[idx];
+            if entry.order != order {
+                continue; // squashed after it became ready
             }
-            debug_assert!(!slot.issued);
-            let deps = slot.deps;
-            let ready = self.threads[tid].dep_ready(seq, deps[0])
-                && self.threads[tid].dep_ready(seq, deps[1]);
-            if !ready {
-                i += 1;
-                continue;
-            }
-            let class = slot.class;
-            let mem = slot.mem_addr;
+            self.sched[idx].order = FREE;
+            self.sched_free.push(idx);
+            issued += 1;
+
+            let (tid, seq) = (entry.tid, entry.seq);
+            let t = &self.threads[tid];
+            let slot = &t.rob[(seq - t.rob_front_seq) as usize];
+            let (class, mem, was_goodpath_instr) = (slot.class, slot.mem_addr, slot.on_goodpath);
             let latency = match class {
                 InstrClass::Alu | InstrClass::Nop => 1,
                 InstrClass::MulDiv => self.config.muldiv_latency,
@@ -626,18 +700,11 @@ impl Machine {
                 },
                 InstrClass::Control(_) => 1,
             };
-            // Commit the issue.
-            let on_goodpath = self.threads[tid].on_goodpath();
-            let slot = self.threads[tid].slot_by_seq_mut(seq).unwrap();
-            slot.issued = true;
-            let was_goodpath_instr = slot.on_goodpath;
             let done = self.cycle + latency.max(1);
-            self.wheel[(done % WHEEL as u64) as usize].push((tid, seq, uid));
-            self.sched.remove(i);
-            self.sched_free += 1;
-            issued += 1;
+            self.wheel[(done % WHEEL as u64) as usize].push((tid, seq, order));
 
             let t = &mut self.threads[tid];
+            let on_goodpath = t.on_goodpath();
             t.stats.executed += 1;
             t.stats.executed_badpath += (!was_goodpath_instr) as u64;
             // Execute-event confidence instance (paper §4.3 footnote 6).
@@ -653,26 +720,50 @@ impl Machine {
     fn dispatch_stage(&mut self) {
         for tid in 0..self.threads.len() {
             let mut budget = self.config.width;
-            while budget > 0 && self.rob_free > 0 && self.sched_free > 0 {
-                let ready = self.threads[tid]
-                    .front
-                    .front()
-                    .map(|(c, _)| *c <= self.cycle)
-                    .unwrap_or(false);
-                if !ready {
+            while budget > 0 && self.rob_free > 0 {
+                let t = &mut self.threads[tid];
+                let arrived = t.front.front().is_some_and(|(c, _)| *c <= self.cycle);
+                if !arrived {
                     break;
                 }
-                let (_, slot) = self.threads[tid].front.pop_front().unwrap();
+                let Some(idx) = self.sched_free.pop() else {
+                    break;
+                };
+                let (_, mut slot) = t.front.pop_front().unwrap();
                 let seq = slot.seq;
-                let uid = slot.uid;
-                let t = &mut self.threads[tid];
+                let order = self.next_order;
+                self.next_order += 1;
+                slot.order = order;
                 if t.rob.is_empty() {
                     t.rob_front_seq = seq;
                 }
+                t.done[(seq & self.ring_mask) as usize] = false;
+                // Register with every producer still executing. Producers
+                // are older, so each is retired (before the ROB front) or
+                // in the ROB, where the done ring answers for it.
+                let mut pending = 0;
+                for d in slot.deps {
+                    if d == 0 || d as u64 > seq {
+                        continue; // no producer
+                    }
+                    let producer = seq - d as u64;
+                    let ring_slot = (producer & self.ring_mask) as usize;
+                    if producer >= t.rob_front_seq && !t.done[ring_slot] {
+                        t.waiters[ring_slot].push((idx, order));
+                        pending += 1;
+                    }
+                }
                 t.rob.push_back(slot);
                 self.rob_free -= 1;
-                self.sched_free -= 1;
-                self.sched.push_back((tid, seq, uid));
+                self.sched[idx] = SchedEntry {
+                    order,
+                    tid,
+                    seq,
+                    pending,
+                };
+                if pending == 0 {
+                    self.ready.push(Reverse((order, idx)));
+                }
                 budget -= 1;
             }
         }
@@ -686,17 +777,17 @@ impl Machine {
             return;
         }
         // Offer the fetch port to threads in policy-priority order; the
-        // first thread able to fetch this cycle takes it.
-        let observations: Vec<(usize, paco::ConfidenceScore)> = self
-            .threads
-            .iter()
-            .map(|t| (t.in_flight, t.estimator.score()))
-            .collect();
-        let order = if self.threads.len() == 1 {
-            vec![0]
-        } else {
-            self.fetch_policy.priority_order(&observations, self.cycle)
-        };
+        // first thread able to fetch this cycle takes it. (A lone thread's
+        // order needs no observations.)
+        let mut observations = [(0, paco::ConfidenceScore(0)); MAX_THREADS];
+        if self.threads.len() > 1 {
+            for (obs, t) in observations.iter_mut().zip(&self.threads) {
+                *obs = (t.in_flight, t.estimator.score());
+            }
+        }
+        let order = self
+            .fetch_policy
+            .priority_order(&observations[..self.threads.len()], self.cycle);
 
         let front_cap = self.config.width * self.config.frontend_depth.max(1) as usize;
         // Fetch-slot sharing (ICOUNT.2.N style): threads claim groups in
@@ -707,7 +798,7 @@ impl Machine {
         // this is how Luo-style confidence prioritization allocates "more
         // fetch bandwidth" rather than all of it.
         let mut remaining = self.config.width;
-        for tid in order {
+        for &tid in order.iter() {
             if remaining == 0 {
                 break;
             }
@@ -758,18 +849,14 @@ impl Machine {
             };
             let seq = self.threads[tid].next_seq;
             self.threads[tid].next_seq += 1;
-            let uid = self.next_uid;
-            self.next_uid += 1;
 
             let mut slot = Slot {
-                uid,
+                order: FREE,
                 seq,
                 class: instr.class,
                 deps: instr.deps,
                 mem_addr: instr.mem.map(|m| m.addr),
                 on_goodpath,
-                issued: false,
-                done: false,
                 token: None,
                 ctrl: None,
             };
@@ -1128,6 +1215,68 @@ mod tests {
             rate < warm_rate * 1.5 + 1.0,
             "post-reset rate {rate:.2}% vs warm {warm_rate:.2}%"
         );
+    }
+
+    /// A straight-line chain of multiplies, each consuming the previous
+    /// one's result: its run time is the chain length times the latency.
+    struct MulChain {
+        produced: u64,
+    }
+
+    impl Workload for MulChain {
+        fn name(&self) -> &str {
+            "mulchain"
+        }
+
+        fn next_instr(&mut self) -> DynInstr {
+            let pc = Pc::new(0x1000 + 4 * (self.produced % 16));
+            self.produced += 1;
+            DynInstr {
+                class: InstrClass::MulDiv,
+                deps: [1, 0],
+                ..DynInstr::alu(pc)
+            }
+        }
+
+        fn wrong_path_params(&self) -> paco_workloads::WrongPathParams {
+            BenchmarkId::Gcc.build(1).wrong_path_params()
+        }
+
+        fn instructions_produced(&self) -> u64 {
+            self.produced
+        }
+    }
+
+    fn mulchain_cycles(muldiv_latency: u64, instrs: u64) -> u64 {
+        let config = SimConfig {
+            muldiv_latency,
+            ..SimConfig::paper_4wide()
+        };
+        MachineBuilder::new(config)
+            .thread(Box::new(MulChain { produced: 0 }), EstimatorKind::None)
+            .build()
+            .run(instrs)
+            .cycles
+    }
+
+    #[test]
+    fn latencies_up_to_the_wheel_size_complete_on_time() {
+        // Every link of the chain waits exactly one latency for its
+        // producer, so each extra cycle of latency costs one cycle per
+        // instruction — including at the wheel size itself, where a
+        // completion lands in the bucket drained earlier in the cycle.
+        let n = 40;
+        let at = |l| mulchain_cycles(l, n);
+        assert_eq!(at(WHEEL as u64) - at(WHEEL as u64 - 1), n);
+        assert_eq!(at(WHEEL as u64) - at(8), n * (WHEEL as u64 - 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 256-cycle completion wheel")]
+    fn latency_beyond_the_wheel_is_rejected() {
+        // One more cycle would wrap onto a drained bucket and complete
+        // the multiply a whole wheel turn early.
+        mulchain_cycles(WHEEL as u64 + 1, 1);
     }
 
     #[test]

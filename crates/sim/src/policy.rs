@@ -156,6 +156,28 @@ impl Canon for FetchPolicy {
     }
 }
 
+/// The most hardware threads a machine can run (the paper's SMT machine
+/// runs two).
+pub const MAX_THREADS: usize = 4;
+
+/// A fetch-priority order: thread ids, highest priority first.
+///
+/// Fixed-size, so the front end can ask for one every cycle without
+/// allocating; it dereferences to the slice of ordered thread ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchOrder {
+    tids: [usize; MAX_THREADS],
+    len: usize,
+}
+
+impl std::ops::Deref for FetchOrder {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.tids[..self.len]
+    }
+}
+
 impl FetchPolicy {
     /// Picks the preferred fetching thread from per-thread
     /// `(in_flight, score)` observations. `round` breaks remaining ties
@@ -171,24 +193,36 @@ impl FetchPolicy {
     /// other thread could use it (classic SMT fetch-policy practice; a
     /// strict-priority port assignment starves the low-confidence thread
     /// whenever its partner parks long-latency misses in the shared ROB).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `observations` is empty or longer than [`MAX_THREADS`].
     pub fn priority_order(
         &self,
         observations: &[(usize, ConfidenceScore)],
         round: u64,
-    ) -> Vec<usize> {
-        assert!(!observations.is_empty(), "no threads to pick from");
+    ) -> FetchOrder {
         let n = observations.len();
+        assert!(n > 0, "no threads to pick from");
+        assert!(n <= MAX_THREADS, "more than {MAX_THREADS} threads");
         let rr = (round as usize) % n;
         // Start from a rotated order so that exact ties alternate fairly.
-        let mut order: Vec<usize> = (0..n).map(|k| (rr + k) % n).collect();
+        let mut order = FetchOrder {
+            tids: [0; MAX_THREADS],
+            len: n,
+        };
+        let tids = &mut order.tids[..n];
+        for (k, tid) in tids.iter_mut().enumerate() {
+            *tid = (rr + k) % n;
+        }
         match self {
             FetchPolicy::RoundRobin => {}
             FetchPolicy::ICount => {
-                order.sort_by_key(|&i| observations[i].0);
+                tids.sort_by_key(|&i| observations[i].0);
             }
             FetchPolicy::Confidence => {
                 // Lower score (more confident) first; ICOUNT among equals.
-                order.sort_by_key(|&i| (observations[i].1, observations[i].0));
+                tids.sort_by_key(|&i| (observations[i].1, observations[i].0));
             }
         }
         order
@@ -268,6 +302,24 @@ mod tests {
     fn confidence_ties_fall_back_to_icount() {
         let obs = [(9, ConfidenceScore(7)), (2, ConfidenceScore(7))];
         assert_eq!(FetchPolicy::Confidence.pick(&obs, 0), 1);
+    }
+
+    #[test]
+    fn priority_order_ranks_every_thread() {
+        let obs = [
+            (7, ConfidenceScore(0)),
+            (2, ConfidenceScore(0)),
+            (5, ConfidenceScore(0)),
+        ];
+        assert_eq!(*FetchPolicy::ICount.priority_order(&obs, 0), [1, 2, 0]);
+        assert_eq!(*FetchPolicy::RoundRobin.priority_order(&obs, 4), [1, 2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 4 threads")]
+    fn priority_order_rejects_more_threads_than_supported() {
+        let obs = [(0, ConfidenceScore(0)); MAX_THREADS + 1];
+        FetchPolicy::ICount.priority_order(&obs, 0);
     }
 
     #[test]
