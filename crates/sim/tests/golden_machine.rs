@@ -4,16 +4,19 @@
 //! the machine's internals (scheduler, completion wheel, fetch order)
 //! must leave them bit-identical. This file pins the statistics of a
 //! fixed set of cells — 4-wide accuracy machines on three workload
-//! characters under three estimators, a PaCo-gated machine, an 8-wide
-//! SMT pair under every fetch policy, and the `tiny` configuration —
-//! to values captured before the scheduler became event-driven. It is
-//! the oracle that replaces keeping a second scheduler around.
+//! characters under every estimator kind, a PaCo-gated machine, two
+//! stall-heavy gated mcf machines (count gate and PaCo throttle, whose
+//! gated cycles are mostly idle ones), an 8-wide SMT pair under every
+//! fetch policy, and the `tiny` configuration — to values captured before
+//! the scheduler became event-driven and before the run loops learned to
+//! skip idle cycles. It is the oracle that replaces keeping a second
+//! scheduler (or a second run loop) around.
 //!
 //! On a mismatch the assertion prints the whole table as it is now, in
 //! the same literal form, so an *intended* behaviour change can be
 //! re-pinned by pasting it (and must say why in its commit).
 
-use paco::{PacoConfig, ThresholdCountConfig};
+use paco::{AdaptiveMrtConfig, PacoConfig, PerBranchMrtConfig, ThresholdCountConfig};
 use paco_sim::{
     EstimatorKind, FetchPolicy, GatingPolicy, MachineBuilder, MachineStats, SimConfig, ThreadStats,
 };
@@ -40,6 +43,15 @@ const GOLDEN: &[Pin] = &[
     ("4wide/gzip/paco", 20322, &[
         [30003, 35523, 5535, 30021, 43, 0, 0x7ae55da8f4221543],
     ]),
+    ("4wide/gzip/static-mrt", 20322, &[
+        [30003, 35523, 5535, 30021, 43, 0, 0xd62aba2f3bfa63d4],
+    ]),
+    ("4wide/gzip/per-branch-mrt", 20322, &[
+        [30003, 35523, 5535, 30021, 43, 0, 0x4e286bcaefd0f5aa],
+    ]),
+    ("4wide/gzip/adaptive-mrt", 20322, &[
+        [30003, 35523, 5535, 30021, 43, 0, 0x8b3bfbbc5253d16d],
+    ]),
     ("4wide/mcf/none", 32564, &[
         [30002, 34221, 4195, 30109, 35, 0, 0xe01ba38397e3275e],
     ]),
@@ -48,6 +60,15 @@ const GOLDEN: &[Pin] = &[
     ]),
     ("4wide/mcf/paco", 32564, &[
         [30002, 34221, 4195, 30109, 35, 0, 0x8be8ebfb85bcf5c0],
+    ]),
+    ("4wide/mcf/static-mrt", 32564, &[
+        [30002, 34221, 4195, 30109, 35, 0, 0xa69d79ce2398f94f],
+    ]),
+    ("4wide/mcf/per-branch-mrt", 32564, &[
+        [30002, 34221, 4195, 30109, 35, 0, 0xecf193b4dd17e600],
+    ]),
+    ("4wide/mcf/adaptive-mrt", 32564, &[
+        [30002, 34221, 4195, 30109, 35, 0, 0x496449160a7b8028],
     ]),
     ("4wide/perlbmk/none", 12408, &[
         [30003, 30525, 648, 29902, 3, 0, 0xb5236ab1d95856f9],
@@ -58,8 +79,23 @@ const GOLDEN: &[Pin] = &[
     ("4wide/perlbmk/paco", 12408, &[
         [30003, 30525, 648, 29902, 3, 0, 0x97f910a6ca10bd37],
     ]),
+    ("4wide/perlbmk/static-mrt", 12408, &[
+        [30003, 30525, 648, 29902, 3, 0, 0x1055edaff4b526e1],
+    ]),
+    ("4wide/perlbmk/per-branch-mrt", 12408, &[
+        [30003, 30525, 648, 29902, 3, 0, 0x41c71114877fd240],
+    ]),
+    ("4wide/perlbmk/adaptive-mrt", 12408, &[
+        [30003, 30525, 648, 29902, 3, 0, 0x08dfc9aa9a6f742f],
+    ]),
     ("4wide/gzip/paco-gate-0.50", 20343, &[
         [30003, 33917, 3913, 30022, 44, 1011, 0xe8bbb765b0b945f6],
+    ]),
+    ("4wide/mcf/jrs-count-gate-1", 33505, &[
+        [30002, 30693, 667, 30098, 24, 12355, 0xbd973a2ffb1c965e],
+    ]),
+    ("4wide/mcf/paco-throttle-0.90-0.30", 32604, &[
+        [30002, 33586, 3560, 30104, 30, 574, 0xd30c91f6e3891491],
     ]),
     ("smt8/gzip+mcf/round-robin", 49160, &[
         [78175, 140191, 62261, 78356, 319, 0, 0x9ba176d43bdc6979],
@@ -123,6 +159,11 @@ fn paco() -> EstimatorKind {
     EstimatorKind::Paco(PacoConfig::paper().with_refresh_period(4_000))
 }
 
+/// AdaptiveMRT with the same short refresh period as [`paco`].
+fn adaptive() -> EstimatorKind {
+    EstimatorKind::AdaptiveMrt(AdaptiveMrtConfig::paper().with_refresh_period(4_000))
+}
+
 /// Warms `builder`'s machine up, resets its statistics, and measures.
 fn measure(builder: MachineBuilder) -> MachineStats {
     let mut machine = builder.build();
@@ -139,6 +180,12 @@ fn cells() -> Vec<(String, MachineStats)> {
             ("none", EstimatorKind::None),
             ("jrs", jrs()),
             ("paco", paco()),
+            ("static-mrt", EstimatorKind::StaticMrt),
+            (
+                "per-branch-mrt",
+                EstimatorKind::PerBranchMrt(PerBranchMrtConfig::paper()),
+            ),
+            ("adaptive-mrt", adaptive()),
         ] {
             let b = MachineBuilder::new(SimConfig::paper_4wide())
                 .thread(Box::new(bench.build(3)), est)
@@ -152,6 +199,27 @@ fn cells() -> Vec<(String, MachineStats)> {
         .gating(gate)
         .seed(11);
     out.push(("4wide/gzip/paco-gate-0.50".to_string(), measure(b)));
+    for (name, est, gating) in [
+        (
+            "jrs-count-gate-1",
+            jrs(),
+            GatingPolicy::CountGate { gate_count: 1 },
+        ),
+        (
+            "paco-throttle-0.90-0.30",
+            paco(),
+            GatingPolicy::paco_throttle(
+                Probability::new(0.90).unwrap(),
+                Probability::new(0.30).unwrap(),
+            ),
+        ),
+    ] {
+        let b = MachineBuilder::new(SimConfig::paper_4wide())
+            .thread(Box::new(BenchmarkId::Mcf.build(3)), est)
+            .gating(gating)
+            .seed(11);
+        out.push((format!("4wide/mcf/{name}"), measure(b)));
+    }
     for (name, policy) in [
         ("round-robin", FetchPolicy::RoundRobin),
         ("icount", FetchPolicy::ICount),
