@@ -3,7 +3,7 @@
 //! SMT fetch-order paths of the machine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use paco::PacoConfig;
+use paco::{PacoConfig, ThresholdCountConfig};
 use paco_sim::{EstimatorKind, FetchPolicy, GatingPolicy, MachineBuilder, SimConfig};
 use paco_types::Probability;
 use paco_workloads::BenchmarkId;
@@ -52,9 +52,10 @@ fn bench_estimator_overhead(c: &mut Criterion) {
 }
 
 fn bench_machine_paths(c: &mut Criterion) {
-    // The scheduler, gating and SMT fetch-order paths: a PaCo-gated
-    // 4-wide machine, and an ICOUNT SMT pair (20k instructions per
-    // thread).
+    // The scheduler, gating, idle-skip and SMT fetch-order paths: a
+    // PaCo-gated 4-wide machine, a stall-heavy count-gated mcf machine
+    // (most of its cycles are idle, gated ones the run loop skips), and
+    // an ICOUNT SMT pair (20k instructions per thread).
     let mut group = c.benchmark_group("machine_paths_20k");
     group.sample_size(10);
     group.throughput(Throughput::Elements(20_000));
@@ -66,6 +67,20 @@ fn bench_machine_paths(c: &mut Criterion) {
                 MachineBuilder::new(SimConfig::paper_4wide())
                     .thread(Box::new(BenchmarkId::Gzip.build(1)), paco)
                     .gating(gate)
+                    .seed(1)
+                    .build()
+            },
+            |mut m| m.run(20_000),
+            BatchSize::LargeInput,
+        )
+    });
+    let jrs = EstimatorKind::ThresholdCount(ThresholdCountConfig::paper_default());
+    group.bench_function("mcf_count_gated_4wide", |b| {
+        b.iter_batched(
+            || {
+                MachineBuilder::new(SimConfig::paper_4wide())
+                    .thread(Box::new(BenchmarkId::Mcf.build(1)), jrs)
+                    .gating(GatingPolicy::CountGate { gate_count: 1 })
                     .seed(1)
                     .build()
             },

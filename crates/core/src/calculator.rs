@@ -1,7 +1,39 @@
 //! The path confidence calculator: a running sum of encoded probabilities.
 
-use crate::EncodedProb;
+use crate::{ConfidenceScore, EncodedProb};
 use paco_types::Probability;
+
+/// Decoding a confidence score to the goodpath probability it encodes.
+///
+/// Every probability-producing estimator reports the path-confidence
+/// register as its score, so its probability is a pure function of that
+/// score: `2^(−score/1024)`. [`Probability::from_score`] is the one
+/// pinned spelling of that decode — the register's
+/// [`goodpath_probability`](PathConfidenceCalculator::goodpath_probability)
+/// delegates to it, and consumers that carry only the score (the
+/// simulator's confidence-instance bins) decode through it, so the two
+/// agree bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use paco::{ConfidenceScore, FromScore};
+/// use paco_types::Probability;
+///
+/// assert_eq!(Probability::from_score(ConfidenceScore(0)).value(), 1.0);
+/// assert_eq!(Probability::from_score(ConfidenceScore(2048)).value(), 0.25);
+/// ```
+pub trait FromScore {
+    /// Decodes `score`.
+    fn from_score(score: ConfidenceScore) -> Self;
+}
+
+impl FromScore for Probability {
+    #[inline]
+    fn from_score(score: ConfidenceScore) -> Probability {
+        Probability::clamped((-(score.0 as f64) / EncodedProb::SCALE as f64).exp2())
+    }
+}
 
 /// The hardware path-confidence register (paper Fig. 5, right half).
 ///
@@ -70,9 +102,11 @@ impl PathConfidenceCalculator {
     }
 
     /// Decodes the register to a real goodpath probability
-    /// (`2^(−sum/1024)`); reporting-only, never on the hot path.
+    /// (`2^(−sum/1024)`, by [`Probability::from_score`]); reporting-only,
+    /// never on the hot path.
+    #[inline]
     pub fn goodpath_probability(&self) -> Probability {
-        Probability::clamped((-(self.sum as f64) / EncodedProb::SCALE as f64).exp2())
+        Probability::from_score(ConfidenceScore(self.sum))
     }
 
     /// Appends the register state (for session snapshots).

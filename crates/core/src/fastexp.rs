@@ -25,7 +25,9 @@
 
 use std::sync::OnceLock;
 
-use crate::EncodedProb;
+use paco_types::Probability;
+
+use crate::{ConfidenceScore, FromScore};
 
 /// Sums at or above this decode through libm directly. The largest
 /// reachable register value is `outstanding × 4096` with `outstanding`
@@ -34,11 +36,13 @@ use crate::EncodedProb;
 /// boundary near `1021 × 1024`.
 const FAST_LIMIT: u64 = 1_000_000;
 
-/// The libm spelling the fast path must match bit-for-bit: exactly the
-/// arithmetic of `PathConfidenceCalculator::goodpath_probability`.
+/// The libm spelling the fast path must match bit-for-bit: the pinned
+/// decode [`Probability::from_score`] itself.
 #[inline]
 pub(crate) fn prob_bits_libm(sum: u64) -> u64 {
-    (-(sum as f64) / EncodedProb::SCALE as f64).exp2().to_bits()
+    Probability::from_score(ConfidenceScore(sum))
+        .value()
+        .to_bits()
 }
 
 /// `exp2(−f/1024)` for every fraction `f`, computed by libm once so the
@@ -86,6 +90,7 @@ impl ProbDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EncodedProb;
 
     #[test]
     fn matches_libm_exhaustively_over_low_registers() {

@@ -54,7 +54,7 @@ mod threshold_count;
 mod variants;
 
 pub use adaptive::{AdaptiveMrtConfig, AdaptiveMrtPredictor};
-pub use calculator::PathConfidenceCalculator;
+pub use calculator::{FromScore, PathConfidenceCalculator};
 pub use encoded::EncodedProb;
 pub use estimator::{
     BranchFetchInfo, BranchToken, ChunkOut, ConfidenceScore, EstimatorChunk,

@@ -2,12 +2,15 @@
 //! algebra, MRT counter behaviour and log-circuit error bounds.
 
 use paco::{
-    BranchFetchInfo, BranchToken, EncodedProb, LogCircuit, LogMode, MrtBucket, PacoConfig,
-    PacoPredictor, PathConfidenceEstimator, ThresholdCountConfig, ThresholdCountPredictor,
+    AdaptiveMrtConfig, AdaptiveMrtPredictor, BranchFetchInfo, BranchToken, EncodedProb, FromScore,
+    LogCircuit, LogMode, MrtBucket, PacoConfig, PacoPredictor, PathConfidenceEstimator,
+    PerBranchMrtConfig, PerBranchMrtPredictor, StaticMrtPredictor, ThresholdCountConfig,
+    ThresholdCountPredictor,
 };
 use paco_branch::Mdc;
 use paco_types::Probability;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// An abstract event stream for a path-confidence estimator.
 #[derive(Debug, Clone)]
@@ -37,6 +40,15 @@ fn event_strategy() -> impl Strategy<Value = Event> {
 /// Drives an estimator through an arbitrary event sequence, maintaining
 /// the outstanding-token list the way the simulator's ROB would.
 fn drive<E: PathConfidenceEstimator>(est: &mut E, events: &[Event]) -> Vec<BranchToken> {
+    drive_observed(est, events, |_| {})
+}
+
+/// [`drive`], showing the estimator to `observe` after every event.
+fn drive_observed<E: PathConfidenceEstimator>(
+    est: &mut E,
+    events: &[Event],
+    mut observe: impl FnMut(&E),
+) -> Vec<BranchToken> {
     let mut outstanding: Vec<BranchToken> = Vec::new();
     for ev in events {
         match ev {
@@ -62,8 +74,30 @@ fn drive<E: PathConfidenceEstimator>(est: &mut E, events: &[Event]) -> Vec<Branc
             }
             Event::Tick(c) => est.tick(*c as u64),
         }
+        observe(est);
     }
     outstanding
+}
+
+/// Drives `est` and checks after every event that its probability is
+/// exactly `Probability::from_score` of its score.
+fn decodes_from_score<E: PathConfidenceEstimator>(
+    mut est: E,
+    events: &[Event],
+) -> Result<(), TestCaseError> {
+    let mut mismatch = None;
+    drive_observed(&mut est, events, |e| {
+        let p = e.goodpath_probability().map(|p| p.value().to_bits());
+        let decoded = Probability::from_score(e.score()).value().to_bits();
+        if mismatch.is_none() && p != Some(decoded) {
+            mismatch = Some((e.score(), p, decoded));
+        }
+    });
+    prop_assert!(
+        mismatch.is_none(),
+        "(score, probability, decoded): {mismatch:?}"
+    );
+    Ok(())
 }
 
 proptest! {
@@ -81,6 +115,24 @@ proptest! {
         }
         prop_assert_eq!(paco.score().0, 0);
         prop_assert_eq!(paco.goodpath_probability().unwrap().value(), 1.0);
+    }
+
+    /// Every probability-producing estimator's probability is the pinned
+    /// decode of its score, bit for bit, after any event sequence — the
+    /// identity that lets the simulator bin instances from the score.
+    #[test]
+    fn probability_is_the_decoded_score(
+        events in proptest::collection::vec(event_strategy(), 0..300),
+    ) {
+        decodes_from_score(PacoPredictor::new(PacoConfig::paper().with_refresh_period(500)), &events)?;
+        decodes_from_score(StaticMrtPredictor::with_default_profile(), &events)?;
+        decodes_from_score(PerBranchMrtPredictor::new(PerBranchMrtConfig::paper()), &events)?;
+        decodes_from_score(
+            AdaptiveMrtPredictor::new(
+                AdaptiveMrtConfig::paper().with_refresh_period(500).with_detect_window(16),
+            ),
+            &events,
+        )?;
     }
 
     /// The threshold-and-count counter equals the number of outstanding

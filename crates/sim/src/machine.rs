@@ -12,8 +12,11 @@
 //! Issue is event-driven: a scheduler entry counts its producers that
 //! have not finished executing, completions wake their waiting consumers,
 //! and the issue stage pops ready entries in dispatch order — no stage
-//! scans the scheduler or the ROB per cycle (see `docs/ARCHITECTURE.md`,
-//! "The cycle-level machine", for the invariants this relies on).
+//! scans the scheduler or the ROB per cycle. The run loops skip idle
+//! cycles outright: when no stage can act, they jump to the next cycle in
+//! which one can, accounting for the skipped cycles in bulk (see
+//! `docs/ARCHITECTURE.md`, "The cycle-level machine", for the invariants
+//! this relies on). [`Machine::step`] stays the one-cycle reference.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -27,8 +30,8 @@ use paco_types::{ControlKind, Cycle, DynInstr, GlobalHistory, InstrClass, Pc, Sp
 use paco_workloads::{Workload, WrongPathGen};
 
 use crate::{
-    CacheHierarchy, EstimatorKind, FetchPolicy, GatingPolicy, MachineStats, SimConfig, ThreadStats,
-    MAX_THREADS,
+    CacheHierarchy, EstimatorKind, FetchPolicy, GatingPolicy, MachineStats, PercentBins, SimConfig,
+    ThreadStats, MAX_THREADS,
 };
 
 /// Size of the completion event wheel. An instruction of latency `l`
@@ -123,6 +126,9 @@ impl<F: FnMut(&DynInstr) + Send> TraceSink for F {
 struct Thread {
     workload: Box<dyn Workload>,
     estimator: Box<dyn PathConfidenceEstimator>,
+    /// Bins confidence instances by the estimator's predicted goodpath
+    /// probability; `None` for estimators without one.
+    prob_bins: Option<PercentBins>,
     hist: GlobalHistory,
     ras: ReturnAddressStack,
     path: PathState,
@@ -359,24 +365,35 @@ impl MachineBuilder {
         let threads = self
             .threads
             .into_iter()
-            .map(|(workload, est, sink)| Thread {
-                workload,
-                estimator: est.build(),
-                hist: GlobalHistory::new(self.config.tournament.history_bits.max(8)),
-                ras: ReturnAddressStack::new(self.config.ras_depth),
-                path: PathState::Good,
-                pending: None,
-                front: VecDeque::new(),
-                rob: VecDeque::new(),
-                rob_front_seq: 0,
-                done: vec![false; ring],
-                waiters: vec![Vec::new(); ring],
-                next_seq: 0,
-                fetch_stall_until: 0,
-                in_flight: 0,
-                wp_seeds: seeder.fork(),
-                stats: ThreadStats::new(),
-                sink,
+            .map(|(workload, est, sink)| {
+                let estimator = est.build();
+                // A probability-producing estimator's probability is
+                // `Probability::from_score` of its score, so its
+                // instances bin by table lookup on the score.
+                let prob_bins = estimator
+                    .goodpath_probability()
+                    .is_some()
+                    .then(PercentBins::get);
+                Thread {
+                    workload,
+                    estimator,
+                    prob_bins,
+                    hist: GlobalHistory::new(self.config.tournament.history_bits.max(8)),
+                    ras: ReturnAddressStack::new(self.config.ras_depth),
+                    path: PathState::Good,
+                    pending: None,
+                    front: VecDeque::new(),
+                    rob: VecDeque::new(),
+                    rob_front_seq: 0,
+                    done: vec![false; ring],
+                    waiters: vec![Vec::new(); ring],
+                    next_seq: 0,
+                    fetch_stall_until: 0,
+                    in_flight: 0,
+                    wp_seeds: seeder.fork(),
+                    stats: ThreadStats::new(),
+                    sink,
+                }
             })
             .collect();
         Machine {
@@ -416,20 +433,95 @@ impl Machine {
     /// goodpath instructions (or the configured cycle cap is hit).
     /// Returns the accumulated statistics.
     pub fn run(&mut self, instructions: u64) -> MachineStats {
-        while self.threads.iter().any(|t| t.stats.retired < instructions)
-            && self.cycle < self.config.max_cycles
-        {
-            self.step();
+        let limit = self.config.max_cycles;
+        while self.threads.iter().any(|t| t.stats.retired < instructions) && self.cycle < limit {
+            self.advance(limit);
         }
         self.stats()
     }
 
     /// Runs for a fixed number of cycles.
     pub fn run_cycles(&mut self, cycles: u64) -> MachineStats {
-        for _ in 0..cycles {
-            self.step();
+        let limit = self.cycle.saturating_add(cycles);
+        while self.cycle < limit {
+            self.advance(limit);
         }
         self.stats()
+    }
+
+    /// Advances by one [`step`](Self::step) or, when the machine is
+    /// quiescent, straight to the next cycle in which a stage can act —
+    /// never past `limit`, which must lie ahead.
+    fn advance(&mut self, limit: Cycle) {
+        match self.idle_until(limit) {
+            Some(until) => self.skip_to(until),
+            None => self.step(),
+        }
+    }
+
+    /// If no stage can act this cycle, the earliest cycle (capped at
+    /// `limit`) in which one might: the next non-empty completion
+    /// bucket, a front-end arrival, or the end of a fetch stall. Nothing
+    /// else can wake a quiescent machine — retirement and issue wait on
+    /// completions, dispatch on arrivals (or on room that only
+    /// retirement, issue and recovery free), and a gated thread's score
+    /// changes only at resolution. `None` when some stage can act now.
+    fn idle_until(&self, limit: Cycle) -> Option<Cycle> {
+        if !self.ready.is_empty() || !self.wheel[(self.cycle % WHEEL as u64) as usize].is_empty() {
+            return None;
+        }
+        let front_cap = self.config.width * self.config.frontend_depth.max(1) as usize;
+        let room = self.rob_free > 0 && !self.sched_free.is_empty();
+        let mut until = limit;
+        for t in &self.threads {
+            if t.rob
+                .front()
+                .is_some_and(|s| t.done[(s.seq & self.ring_mask) as usize])
+            {
+                return None; // retires now
+            }
+            if let Some(&(arrival, _)) = t.front.front() {
+                if arrival > self.cycle {
+                    until = until.min(arrival);
+                } else if room {
+                    return None; // dispatches now
+                }
+            }
+            if self.cycle < t.fetch_stall_until {
+                until = until.min(t.fetch_stall_until);
+            } else if !self.gated(t) && t.front.len() < front_cap {
+                return None; // fetches now
+            }
+        }
+        let next_completion = (self.cycle + 1..until)
+            .take(WHEEL)
+            .find(|&c| !self.wheel[(c % WHEEL as u64) as usize].is_empty());
+        Some(next_completion.unwrap_or(until))
+    }
+
+    /// Whether gating blocks all of thread `t`'s fetch (at full width:
+    /// in a quiescent cycle no other thread has fetched before it).
+    fn gated(&self, t: &Thread) -> bool {
+        self.gating
+            .allowed_width(t.estimator.score(), self.config.width)
+            == 0
+    }
+
+    /// Jumps over the quiescent cycles up to `until`, accounting for them
+    /// exactly as that many [`step`](Self::step)s would: each unstalled
+    /// gated thread counts them as gated, and every estimator ticks once
+    /// for all of them — the same as one tick per cycle, since a refresh
+    /// never touches the score register (nor, hence, the gating).
+    fn skip_to(&mut self, until: Cycle) {
+        let cycles = until - self.cycle;
+        for tid in 0..self.threads.len() {
+            let t = &self.threads[tid];
+            if self.cycle >= t.fetch_stall_until && self.gated(t) {
+                self.threads[tid].stats.gated_cycles += cycles;
+            }
+            self.threads[tid].estimator.tick(cycles);
+        }
+        self.cycle = until;
     }
 
     /// A snapshot of the statistics accumulated since construction or the
@@ -708,9 +800,9 @@ impl Machine {
             t.stats.executed += 1;
             t.stats.executed_badpath += (!was_goodpath_instr) as u64;
             // Execute-event confidence instance (paper §4.3 footnote 6).
-            let prob = t.estimator.goodpath_probability().map(|p| p.value());
             let score = t.estimator.score().0;
-            t.stats.sample_instance(prob, score, on_goodpath);
+            let prob_bin = t.prob_bins.map(|bins| bins.bin(score));
+            t.stats.sample_instance(prob_bin, score, on_goodpath);
         }
     }
 
@@ -874,9 +966,9 @@ impl Machine {
             t.stats.fetched += 1;
             t.stats.fetched_badpath += (!on_goodpath) as u64;
             // Fetch-event confidence instance.
-            let prob = t.estimator.goodpath_probability().map(|p| p.value());
-            let sc = t.estimator.score().0;
-            t.stats.sample_instance(prob, sc, on_goodpath);
+            let score = t.estimator.score().0;
+            let prob_bin = t.prob_bins.map(|bins| bins.bin(score));
+            t.stats.sample_instance(prob_bin, score, on_goodpath);
 
             t.front.push_back((ready_at, slot));
             t.in_flight += 1;
@@ -1137,6 +1229,35 @@ mod tests {
             .map(|b| b.0 - b.1)
             .sum();
         assert!(bad > 0);
+    }
+
+    #[test]
+    fn only_probability_estimators_record_probability_bins() {
+        use paco::{AdaptiveMrtConfig, PerBranchMrtConfig};
+        let kinds = [
+            (EstimatorKind::None, false),
+            (
+                EstimatorKind::ThresholdCount(ThresholdCountConfig::paper_default()),
+                false,
+            ),
+            (EstimatorKind::Paco(PacoConfig::paper()), true),
+            (EstimatorKind::StaticMrt, true),
+            (
+                EstimatorKind::PerBranchMrt(PerBranchMrtConfig::paper()),
+                true,
+            ),
+            (EstimatorKind::AdaptiveMrt(AdaptiveMrtConfig::paper()), true),
+        ];
+        for (kind, has_probability) in kinds {
+            let stats = small_machine(kind).run(5_000);
+            let t = &stats.threads[0];
+            let binned: u64 = t.prob_instances.iter().map(|b| b.0).sum();
+            let instances: u64 = t.score_instances.iter().map(|b| b.0).sum();
+            // Every fetch and execute event is one instance.
+            assert_eq!(instances, t.fetched + t.executed, "{kind:?}");
+            let expected = if has_probability { instances } else { 0 };
+            assert_eq!(binned, expected, "{kind:?}");
+        }
     }
 
     #[test]

@@ -205,12 +205,15 @@ impl FetchPolicy {
         let n = observations.len();
         assert!(n > 0, "no threads to pick from");
         assert!(n <= MAX_THREADS, "more than {MAX_THREADS} threads");
-        let rr = (round as usize) % n;
-        // Start from a rotated order so that exact ties alternate fairly.
         let mut order = FetchOrder {
             tids: [0; MAX_THREADS],
             len: n,
         };
+        if n == 1 {
+            return order; // a lone thread needs no rotation or sort
+        }
+        // Start from a rotated order so that exact ties alternate fairly.
+        let rr = (round as usize) % n;
         let tids = &mut order.tids[..n];
         for (k, tid) in tids.iter_mut().enumerate() {
             *tid = (rr + k) % n;
@@ -313,6 +316,20 @@ mod tests {
         ];
         assert_eq!(*FetchPolicy::ICount.priority_order(&obs, 0), [1, 2, 0]);
         assert_eq!(*FetchPolicy::RoundRobin.priority_order(&obs, 4), [1, 2, 0]);
+    }
+
+    #[test]
+    fn a_lone_thread_always_comes_first() {
+        let obs = [(3, ConfidenceScore(9))];
+        for policy in [
+            FetchPolicy::RoundRobin,
+            FetchPolicy::ICount,
+            FetchPolicy::Confidence,
+        ] {
+            for round in [0, 1, 7] {
+                assert_eq!(*policy.priority_order(&obs, round), [0]);
+            }
+        }
     }
 
     #[test]

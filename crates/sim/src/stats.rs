@@ -1,10 +1,62 @@
 //! Simulation statistics, including the confidence-instance samples that
 //! feed reliability diagrams.
 
+use std::sync::OnceLock;
+
+use paco::{ConfidenceScore, FromScore};
 use paco_branch::Mdc;
+use paco_types::Probability;
 
 /// Number of percent bins in the predicted-probability histogram (0–100).
 pub const PROB_BINS: usize = 101;
+
+/// The percent bin of a predicted goodpath probability: the nearest
+/// whole percent.
+#[inline]
+pub fn percent_bin(p: Probability) -> usize {
+    ((p.value() * 100.0).round() as usize).min(PROB_BINS - 1)
+}
+
+/// The percent bin of the goodpath probability each confidence score
+/// decodes to, by table lookup.
+///
+/// Every probability-producing estimator's probability is
+/// [`Probability::from_score`] of its score, so the bin of a confidence
+/// instance is a pure function of the integer score. The table holds
+/// [`percent_bin`] of that decode for every score below the first one
+/// that bins to 0 (about 7.8k: where the probability drops under
+/// 0.5%); the decode falls monotonically, so every later score bins to
+/// 0 too. The simulator thus bins two instances per instruction with
+/// one load instead of an `exp2` and a rounding each.
+#[derive(Debug, Clone, Copy)]
+pub struct PercentBins(&'static [u8]);
+
+impl PercentBins {
+    /// The table (built on first use).
+    pub fn get() -> Self {
+        static TABLE: OnceLock<Vec<u8>> = OnceLock::new();
+        PercentBins(TABLE.get_or_init(|| {
+            (0..)
+                .map(|score| percent_bin(Probability::from_score(ConfidenceScore(score))) as u8)
+                .take_while(|&bin| bin > 0)
+                .collect()
+        }))
+    }
+
+    /// The percent bin of `Probability::from_score(ConfidenceScore(score))`.
+    #[inline]
+    pub fn bin(self, score: u64) -> usize {
+        usize::try_from(score)
+            .ok()
+            .and_then(|s| self.0.get(s))
+            .map_or(0, |&bin| bin as usize)
+    }
+
+    /// The first score that bins to 0; so does every larger one.
+    pub fn zero_from(self) -> u64 {
+        self.0.len() as u64
+    }
+}
 
 /// Maximum tracked low-confidence counter value for counter-instance
 /// sampling (larger scores are clamped into the last bin).
@@ -66,16 +118,12 @@ impl ThreadStats {
         }
     }
 
-    /// Records one confidence instance.
+    /// Records one confidence instance: `prob_bin` is the
+    /// [`percent_bin`] of the predicted goodpath probability (`None` for
+    /// estimators without one), `score` the confidence score.
     #[inline]
-    pub fn sample_instance(
-        &mut self,
-        predicted_goodpath: Option<f64>,
-        score: u64,
-        on_goodpath: bool,
-    ) {
-        if let Some(p) = predicted_goodpath {
-            let bin = ((p * 100.0).round() as usize).min(PROB_BINS - 1);
+    pub fn sample_instance(&mut self, prob_bin: Option<usize>, score: u64, on_goodpath: bool) {
+        if let Some(bin) = prob_bin {
             self.prob_instances[bin].0 += 1;
             self.prob_instances[bin].1 += on_goodpath as u64;
         }
@@ -155,12 +203,16 @@ impl MachineStats {
 mod tests {
     use super::*;
 
+    fn bin(p: f64) -> Option<usize> {
+        Some(percent_bin(Probability::new(p).unwrap()))
+    }
+
     #[test]
     fn sampling_bins_probabilities() {
         let mut s = ThreadStats::new();
-        s.sample_instance(Some(0.995), 0, true);
-        s.sample_instance(Some(1.0), 0, true);
-        s.sample_instance(Some(0.004), 7, false);
+        s.sample_instance(bin(0.995), 0, true);
+        s.sample_instance(bin(1.0), 0, true);
+        s.sample_instance(bin(0.004), 7, false);
         assert_eq!(s.prob_instances[100].0, 2);
         assert_eq!(s.prob_instances[0], (1, 0));
         assert_eq!(s.score_instances[7], (1, 0));
@@ -174,6 +226,28 @@ mod tests {
         assert_eq!(s.score_instances[SCORE_BINS - 1], (1, 1));
         // No probability recorded.
         assert!(s.prob_instances.iter().all(|&(n, _)| n == 0));
+    }
+
+    #[test]
+    fn percent_bins_match_the_rounded_decode_for_every_score() {
+        // The table against the decode-and-round it replaces, spelled
+        // out independently, over the whole 22-bit score range (far past
+        // the table's end, where everything must bin to 0).
+        let bins = PercentBins::get();
+        for score in 0..=1u64 << 22 {
+            let p = (-(score as f64) / 1024.0).exp2();
+            let expected = ((p * 100.0).round() as usize).min(100);
+            assert_eq!(bins.bin(score), expected, "score={score}");
+        }
+        assert_eq!(bins.bin(u64::MAX), 0);
+    }
+
+    #[test]
+    fn percent_bin_table_ends_where_the_probability_rounds_to_zero() {
+        // 2^(−s/1024) < 0.005  ⇔  s > 1024·log2(200) ≈ 7827.
+        let end = PercentBins::get().zero_from();
+        assert!((7_800..7_900).contains(&end), "table end {end}");
+        assert_eq!(PercentBins::get().bin(end - 1), 1);
     }
 
     #[test]
