@@ -55,4 +55,4 @@ pub use estimator_kind::{EstimatorKind, NullEstimator};
 pub use machine::{Machine, MachineBuilder, TraceSink};
 pub use online::{HotPass, NoProbe, OnlineConfig, OnlineOutcome, OnlinePipeline, PassProbe};
 pub use policy::{FetchOrder, FetchPolicy, GatingPolicy, MAX_THREADS};
-pub use stats::{percent_bin, MachineStats, PercentBins, ThreadStats, PROB_BINS, SCORE_BINS};
+pub use stats::{MachineStats, ThreadStats, PROB_BINS, SCORE_BINS};

@@ -29,9 +29,10 @@ use paco_branch::{
 use paco_types::{ControlKind, Cycle, DynInstr, GlobalHistory, InstrClass, Pc, SplitMix64};
 use paco_workloads::{Workload, WrongPathGen};
 
+use crate::stats::PercentBins;
 use crate::{
-    CacheHierarchy, EstimatorKind, FetchPolicy, GatingPolicy, MachineStats, PercentBins, SimConfig,
-    ThreadStats, MAX_THREADS,
+    CacheHierarchy, EstimatorKind, FetchPolicy, GatingPolicy, MachineStats, SimConfig, ThreadStats,
+    MAX_THREADS,
 };
 
 /// Size of the completion event wheel. An instruction of latency `l`

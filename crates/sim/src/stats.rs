@@ -13,7 +13,7 @@ pub const PROB_BINS: usize = 101;
 /// The percent bin of a predicted goodpath probability: the nearest
 /// whole percent.
 #[inline]
-pub fn percent_bin(p: Probability) -> usize {
+pub(crate) fn percent_bin(p: Probability) -> usize {
     ((p.value() * 100.0).round() as usize).min(PROB_BINS - 1)
 }
 
@@ -29,11 +29,11 @@ pub fn percent_bin(p: Probability) -> usize {
 /// 0 too. The simulator thus bins two instances per instruction with
 /// one load instead of an `exp2` and a rounding each.
 #[derive(Debug, Clone, Copy)]
-pub struct PercentBins(&'static [u8]);
+pub(crate) struct PercentBins(&'static [u8]);
 
 impl PercentBins {
     /// The table (built on first use).
-    pub fn get() -> Self {
+    pub(crate) fn get() -> Self {
         static TABLE: OnceLock<Vec<u8>> = OnceLock::new();
         PercentBins(TABLE.get_or_init(|| {
             (0..)
@@ -45,16 +45,11 @@ impl PercentBins {
 
     /// The percent bin of `Probability::from_score(ConfidenceScore(score))`.
     #[inline]
-    pub fn bin(self, score: u64) -> usize {
+    pub(crate) fn bin(self, score: u64) -> usize {
         usize::try_from(score)
             .ok()
             .and_then(|s| self.0.get(s))
             .map_or(0, |&bin| bin as usize)
-    }
-
-    /// The first score that bins to 0; so does every larger one.
-    pub fn zero_from(self) -> u64 {
-        self.0.len() as u64
     }
 }
 
@@ -118,9 +113,10 @@ impl ThreadStats {
         }
     }
 
-    /// Records one confidence instance: `prob_bin` is the
-    /// [`percent_bin`] of the predicted goodpath probability (`None` for
-    /// estimators without one), `score` the confidence score.
+    /// Records one confidence instance: `prob_bin` is the percent bin
+    /// (nearest whole percent, 0–100) of the predicted goodpath
+    /// probability (`None` for estimators without one), `score` the
+    /// confidence score.
     #[inline]
     pub fn sample_instance(&mut self, prob_bin: Option<usize>, score: u64, on_goodpath: bool) {
         if let Some(bin) = prob_bin {
@@ -245,9 +241,9 @@ mod tests {
     #[test]
     fn percent_bin_table_ends_where_the_probability_rounds_to_zero() {
         // 2^(−s/1024) < 0.005  ⇔  s > 1024·log2(200) ≈ 7827.
-        let end = PercentBins::get().zero_from();
+        let end = PercentBins::get().0.len();
         assert!((7_800..7_900).contains(&end), "table end {end}");
-        assert_eq!(PercentBins::get().bin(end - 1), 1);
+        assert_eq!(PercentBins::get().bin(end as u64 - 1), 1);
     }
 
     #[test]
